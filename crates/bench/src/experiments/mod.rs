@@ -4,6 +4,7 @@
 
 pub mod ablations;
 pub mod apps;
+pub mod digest;
 pub mod faults;
 pub mod fig2;
 pub mod io;

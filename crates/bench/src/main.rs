@@ -13,6 +13,7 @@
 //! ps-bench overload                      # latency profiles across the knee
 //! ps-bench --overload [o.json]           # same sweep + JSON artifact
 //! ps-bench trace-breakdown
+//! ps-bench digest                    # RouterReport hashes, 8 configs x seeds 1-8
 //! ps-bench --trace-out t.json fig6   # also dump the virtual-time trace
 //! ps-bench --baseline [out.json]     # record wall-clock ns/pkt snapshot
 //! ps-bench --compare [base.json]     # fail on wall-clock regressions
@@ -164,7 +165,7 @@ fn main() {
         eprintln!("experiments: spec table1 launch fig2 table3 fig5 fig6 numa");
         eprintln!("             fig11a fig11b fig11c fig11d fig12");
         eprintln!("             ablate-gather ablate-streams ablate-opportunistic ablate-staging");
-        eprintln!("             nfv nfv-apps nfv-pressure overload trace-breakdown all");
+        eprintln!("             nfv nfv-apps nfv-pressure overload trace-breakdown digest all");
         std::process::exit(2);
     }
     let tracing = trace_out.is_some() || std::env::var("PS_TRACE").is_ok();
@@ -259,6 +260,9 @@ fn dispatch(name: &str) {
         }
         "nfv-pressure" => {
             ex::nfv::flow_pressure();
+        }
+        "digest" => {
+            ex::digest::run_all();
         }
         "dbg-ipsec" => {
             use ps_core::apps::IpsecApp;

@@ -88,9 +88,13 @@ impl<A: App> Router<A> {
         sched.at(t, Ev::WorkerLoop { worker: w });
     }
 
+    /// Arm node `node`'s master loop at `t`, or at `busy_until` if
+    /// the master is still shading then. At most one wake is pending:
+    /// an earlier one absorbs this request, a later one is superseded.
     pub(super) fn wake_master(&mut self, sched: &mut Scheduler<Ev>, node: usize, t: Time) {
-        let t = t.max(sched.now());
+        let now = sched.now();
         let ms = self.master_mut(node);
+        let t = t.max(now).max(ms.busy_until);
         if let Some(pending) = ms.next_wake {
             if pending <= t {
                 return;
@@ -102,12 +106,21 @@ impl<A: App> Router<A> {
 
     fn on_worker_loop(&mut self, sched: &mut Scheduler<Ev>, w: usize) {
         let now = sched.now();
-        self.worker_mut(w).next_wake = None;
         if self.worker(w).busy_until > now {
+            // A superseded wake leaves the pending one armed, so the
+            // re-arm at `busy_until` merges with it instead of adding
+            // another copy.
+            if self.worker(w).next_wake == Some(now) {
+                self.worker_mut(w).next_wake = None;
+            }
             let t = self.worker(w).busy_until;
             self.wake_worker(sched, w, t);
             return;
         }
+        // A free core polls even on a superseded wake: the loop
+        // re-checks its rings and done queue, and the model's timing
+        // depends on those polls.
+        self.worker_mut(w).next_wake = None;
 
         // 1. Completed shading output? Post-shade + transmit.
         if let Some(&(ready, _)) = self.worker(w).done_queue.front() {

@@ -39,13 +39,14 @@ impl<A: App> Router<A> {
 
     pub(super) fn on_master_loop(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
         let now = sched.now();
-        self.master_mut(node).next_wake = None;
-        if self.master_mut(node).busy_until > now {
-            let t = self.master_mut(node).busy_until;
-            self.wake_master(sched, node, t);
-            return;
+        let ms = self.master_mut(node);
+        if ms.next_wake != Some(now) {
+            return; // superseded by the pending wake
         }
-        if self.master_mut(node).input.is_empty() {
+        ms.next_wake = None;
+        // Wakes are never armed before `busy_until` (DESIGN.md §7).
+        assert!(ms.busy_until <= now, "master woken while busy");
+        if ms.input.is_empty() {
             return;
         }
         // Gather pending chunks (Figure 10(b)); without gather, take
@@ -219,9 +220,7 @@ impl<A: App> Router<A> {
                 done
             };
         }
-        if !self.master_mut(node).input.is_empty() {
-            let t = self.master_mut(node).busy_until;
-            self.wake_master(sched, node, t);
-        }
+        // Re-check the queue once free, whether or not it is empty.
+        self.wake_master(sched, node, self.nodes[node].master.busy_until);
     }
 }

@@ -48,7 +48,7 @@ impl<A: App> Router<A> {
                 // here touches nothing — the hosted subset evolves
                 // packet-for-packet like the sequential run.
                 self.gen.skip_meta();
-                let next = self.gen_peek_next();
+                let next = self.gen.next_time();
                 if next >= self.stop_at {
                     return;
                 }
@@ -76,7 +76,7 @@ impl<A: App> Router<A> {
                 let w = self.worker_for_hash(meta.rss_hash(), meta.port);
                 if self.ring(w).len() >= high_watermark as usize {
                     self.stats.drops.backpressure += 1;
-                    let next = self.gen_peek_next();
+                    let next = self.gen.next_time();
                     if next >= self.stop_at {
                         return;
                     }
@@ -147,7 +147,7 @@ impl<A: App> Router<A> {
             } else {
                 self.stats.drops.nic_admission += 1;
             }
-            let next = self.gen_peek_next();
+            let next = self.gen.next_time();
             if next >= self.stop_at {
                 return;
             }
@@ -229,7 +229,7 @@ impl<A: App> Router<A> {
         }
 
         // Next arrival (open loop) until the generation window ends.
-        let next = self.gen_peek_next();
+        let next = self.gen.next_time();
         if next < self.stop_at {
             self.schedule_gen(sched, next);
         }
@@ -244,16 +244,6 @@ impl<A: App> Router<A> {
     /// generator stream and pay one Gen round-trip per skipped packet.
     fn schedule_gen(&self, sched: &mut Scheduler<Ev>, next: Time) {
         sched.at_fifo(self.cfg.nodes + self.cfg.ports as usize, next, Ev::Gen);
-    }
-
-    fn gen_peek_next(&self) -> Time {
-        // Generator paces deterministically; its next emission time is
-        // exposed by running it lazily: we schedule Gen at the time the
-        // *next* packet will carry. Peek by cloning cost would be
-        // heavy; instead the generator's pacing makes next_time public
-        // through spec: we simply reuse its internal pacing by asking
-        // for the time of the next packet on the next Gen event.
-        self.gen.next_time()
     }
 
     pub(super) fn on_rx_ready(

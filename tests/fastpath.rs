@@ -10,13 +10,14 @@
 //! perturbs a fingerprint, a trace byte, or even the dump length,
 //! these constants catch it — not just a flaky inequality.
 
-use packetshader::core::apps::{IpsecApp, Ipv4App, OpenFlowApp};
+use packetshader::core::apps::{IpsecApp, Ipv4App, NatApp, OpenFlowApp};
 use packetshader::core::{App, Router, RouterConfig};
 use packetshader::lookup::route::Route4;
 use packetshader::lookup::synth;
 use packetshader::pktgen::TrafficSpec;
 use packetshader::sim::MILLIS;
 use packetshader::trace::{chrome, TraceConfig};
+use ps_bench::experiments::digest::fnv1a;
 use ps_bench::workloads;
 
 /// Same aggregate tuple as tests/determinism.rs.
@@ -56,14 +57,31 @@ fn fingerprint_openflow(cfg: RouterConfig, seed: u64) -> Fingerprint {
     run_fingerprint(cfg, app, spec)
 }
 
-/// FNV-1a, the cheapest stable digest that fits in a pinned constant.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Stream-mode shading (`concurrent_copy`) and the stateful NAT tier
+/// take master paths the seed pins above never exercise. Captured
+/// when the one-pending-wake contract (DESIGN.md §7) landed; the
+/// code before it produced the same values at this window.
+#[test]
+fn stream_mode_and_nat_fingerprints_are_pinned() {
+    let streams = RouterConfig {
+        concurrent_copy: true,
+        ..RouterConfig::paper_gpu()
+    };
+    assert_eq!(
+        fingerprint_ipsec(streams, 5),
+        (11364, 12168, 614, 0, 106495, 319836),
+        "ipsec gpu streams"
+    );
+    let cfg = RouterConfig::paper_gpu();
+    assert_eq!(
+        run_fingerprint(
+            cfg,
+            NatApp::new(cfg.ports, cfg.nodes, 1 << 20, 0),
+            TrafficSpec::imix(20.0, 5).with_heavy_tail(512, 3),
+        ),
+        (5184, 6061, 159, 0, 49151, 242369),
+        "nat imix gpu"
+    );
 }
 
 /// Every (app, mode) fingerprint at seed 5 must equal the values the
